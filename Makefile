@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test vet race race-hot bench bench-cache bench-sim bench-json bench-policy-tournament bench-server bench-server-shards bench-server-hot bench-server-cold bench-server-cluster serve serve-cluster loadtest experiments charts fuzz fuzz-frames clean outputs
+.PHONY: all check test vet race race-hot bench bench-cache bench-sim bench-json bench-policy-tournament bench-server bench-server-shards serve serve-cluster loadtest experiments charts fuzz fuzz-frames clean outputs
 
 all: check
 
@@ -81,29 +81,6 @@ bench-server:
 # kernel shards, each swept over 1/4/16 clients.
 bench-server-shards:
 	$(GO) run ./cmd/acload -selfserve -json -shards 1,4,16 > BENCH_server.json
-
-# The standard sweep plus the hot-block scenario: 16 clients hammering
-# one shared file through a latency-injected store, run once with the
-# synchronous fill path (write-behind off, read-ahead off — the PR 5
-# baseline) and once pipelined (MSHR coalescing + write-behind +
-# read-ahead), appended as a `hot_block` section to BENCH_server.json.
-bench-server-hot:
-	$(GO) run ./cmd/acload -selfserve -json -hot > BENCH_server.json
-
-# The standard sweep plus the cold-fill scenario: 16 clients scanning
-# pre-populated files through an empty cache, so every request funnels
-# through the fill path. Each backend (latency-injected mem store, file
-# store) runs unbatched (goroutine per fill) and batched (worker pool +
-# run coalescing into preadv), appended as a `cold_fill` section.
-bench-server-cold:
-	$(GO) run ./cmd/acload -selfserve -json -cold > BENCH_server.json
-
-# The standard sweep plus the cluster sweep: 1, 2 and 4 in-process
-# cluster nodes over a shared origin, 16 routing clients, a cold pass
-# (every read a pull-through fill) and a hot pass, appended as a
-# `cluster_sweeps` section with the summed peer-fill counters.
-bench-server-cluster:
-	$(GO) run ./cmd/acload -selfserve -json -cluster > BENCH_server.json
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -13,7 +13,7 @@
 //	      [-store mem|/path/to/file]
 //	      [-shards 1] [-idle 2m] [-inflight 32] [-evict-on-close]
 //	      [-check-invariants] [-writeback-depth 0] [-readahead 0]
-//	      [-fill-workers 4] [-store-latency 0] [-store-jitter 0]
+//	      [-store-latency 0] [-store-jitter 0]
 //	      [-cluster tcp:h1:p1,tcp:h2:p2,...] [-origin mem|dir:/path]
 //	      [-ring-replicas 128]
 //
@@ -77,7 +77,6 @@ func run() int {
 	graceFlag := flag.Duration("grace", 10*time.Second, "shutdown drain grace before forcing disconnects")
 	wbDepthFlag := flag.Int("writeback-depth", 0, "async write-behind queue depth per shard (0: synchronous write-backs)")
 	raFlag := flag.Int("readahead", 0, "server-side sequential read-ahead depth (0: disabled)")
-	fillWorkersFlag := flag.Int("fill-workers", 0, "fill worker pool size per shard (0: default 4; negative: goroutine per fill)")
 	storeLatFlag := flag.Duration("store-latency", 0, "per-op latency injected into the mem store (benchmarking)")
 	storeJitFlag := flag.Duration("store-jitter", 0, "max extra random latency per mem-store op")
 	clusterFlag := flag.String("cluster", "", "comma-separated member list (incl. this node's -listen spec); empty: single-node mode")
@@ -130,7 +129,6 @@ func run() int {
 		},
 		Shards:            *shardsFlag,
 		WritebackDepth:    *wbDepthFlag,
-		FillWorkers:       *fillWorkersFlag,
 		MaxInflight:       *inflightFlag,
 		IdleTimeout:       *idleFlag,
 		CheckInvariants:   *invFlag,

@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/expt"
 	"repro/internal/fs"
 	"repro/internal/server"
@@ -99,67 +98,6 @@ type jsonReport struct {
 	CacheMB     float64      `json:"cache_mb"`
 	Events      int          `json:"events_per_client"`
 	ShardSweeps []shardSweep `json:"shard_sweeps"`
-	HotBlock    *hotReport   `json:"hot_block,omitempty"`
-	ColdFill    *coldReport  `json:"cold_fill,omitempty"`
-	// ClusterSweeps is the -cluster section: the multi-node tier at
-	// 1/2/4 nodes, cold and hot scans through the routing client.
-	ClusterSweeps []clusterSweep `json:"cluster_sweeps,omitempty"`
-}
-
-// hotReport is the -hot section: the shared-hot-file contention scenario
-// run under the synchronous (PR 5 baseline) kernel configuration and
-// again with the fill pipeline (write-behind + read-ahead) on, against
-// the same latency-injected store. The FillStats in each run's kernel
-// snapshot are the evidence the pipeline works: coalesced_misses > 0 and
-// store_reads < cache misses.
-type hotReport struct {
-	Clients        int      `json:"clients"`
-	FileBlocks     int      `json:"file_blocks"`
-	Rounds         int      `json:"rounds"`
-	WritePct       int      `json:"write_pct"`
-	StoreLatencyUs float64  `json:"store_latency_us"`
-	StoreJitterUs  float64  `json:"store_jitter_us"`
-	Runs           []hotRun `json:"runs"`
-}
-
-// hotRun is one kernel configuration's measurement in the hot scenario.
-type hotRun struct {
-	Config         string         `json:"config"`
-	WritebackDepth int            `json:"writeback_depth"`
-	ReadAheadDepth int            `json:"readahead_depth"`
-	Result         sweepResult    `json:"result"`
-	Kernel         stats.Snapshot `json:"kernel"`
-}
-
-// coldReport is the -cold section: the cold-fill scenario. Every run gets
-// a brand-new store, pre-populated out of band so the cache starts empty
-// and every block of the scan is a demand or read-ahead fill — the pure
-// fill-path workload batching is meant to speed up. Each backend is
-// measured unbatched (goroutine-per-fill, FillWorkers < 0) and batched
-// (the worker pool + run coalescing); the req/s ratio and the batched
-// run's batched_fills counter are the evidence.
-type coldReport struct {
-	Clients    int `json:"clients"`
-	Files      int `json:"files"`
-	FileBlocks int `json:"file_blocks"`
-	// StoreLatencyUs is the per-batch latency injected into the mem-store
-	// runs (the file-store runs pay real I/O instead).
-	StoreLatencyUs float64   `json:"store_latency_us"`
-	ReadAheadDepth int       `json:"readahead_depth"`
-	Runs           []coldRun `json:"runs"`
-}
-
-// coldRun is one (store backend, fill configuration) cold measurement.
-type coldRun struct {
-	Store       string         `json:"store"` // "mem+lat" or "file"
-	Config      string         `json:"config"`
-	FillWorkers int            `json:"fill_workers"`
-	Result      sweepResult    `json:"result"`
-	Kernel      stats.Snapshot `json:"kernel"`
-	// ScalarReads/VectorReads are the FileStore's read call counters over
-	// the sweep (file backend only): the syscall-count view of batching.
-	ScalarReads int64 `json:"scalar_reads,omitempty"`
-	VectorReads int64 `json:"vector_reads,omitempty"`
 }
 
 func run() int {
@@ -173,9 +111,6 @@ func run() int {
 	nodataFlag := flag.Bool("nodata", false, "suppress block bytes in read responses")
 	selfFlag := flag.Bool("selfserve", false, "start an in-process server instead of dialing -addr")
 	jsonFlag := flag.Bool("json", false, "sweep 1/4/16 clients per shard count and emit JSON (implies quiet tables)")
-	hotFlag := flag.Bool("hot", false, "also run the shared-hot-file contention scenario (requires -selfserve): synchronous vs pipelined kernel over a slow store")
-	coldFlag := flag.Bool("cold", false, "also run the cold-fill scenario (requires -selfserve): batched vs unbatched fill path against a fresh store per run")
-	clusterFlag := flag.Bool("cluster", false, "also run the multi-node cluster sweep (requires -selfserve): 1/2/4 in-process nodes over a shared origin, cold + hot scans through the routing client")
 	flag.Parse()
 
 	mk, ok := expt.Registry[*appFlag]
@@ -195,18 +130,6 @@ func run() int {
 	}
 	if *shardsFlag != "" && !*selfFlag {
 		fmt.Fprintln(os.Stderr, "acload: -shards requires -selfserve (an external server owns its shard count)")
-		return 2
-	}
-	if *hotFlag && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -hot requires -selfserve (the scenario controls the kernel configuration)")
-		return 2
-	}
-	if *coldFlag && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -cold requires -selfserve (every run needs a fresh store)")
-		return 2
-	}
-	if *clusterFlag && !*selfFlag {
-		fmt.Fprintln(os.Stderr, "acload: -cluster requires -selfserve (the sweep owns the node processes)")
 		return 2
 	}
 	shardCounts := []int{1}
@@ -309,57 +232,6 @@ func run() int {
 		report.ShardSweeps = append(report.ShardSweeps, ss)
 	}
 
-	if *hotFlag {
-		hr, err := runHot(hotParams{
-			clients:  16,
-			blocks:   2048,
-			rounds:   2,
-			writePct: 10,
-			latency:  300 * time.Microsecond,
-			jitter:   100 * time.Microsecond,
-			cacheMB:  *cacheFlag,
-			alloc:    alloc,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: hot: %v\n", err)
-			return 1
-		}
-		report.HotBlock = hr
-	}
-
-	if *coldFlag {
-		cr, err := runCold(coldParams{
-			clients: 16,
-			files:   16,
-			blocks:  256,
-			raDepth: 8,
-			latency: 300 * time.Microsecond,
-			cacheMB: *cacheFlag,
-			alloc:   alloc,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: cold: %v\n", err)
-			return 1
-		}
-		report.ColdFill = cr
-	}
-
-	if *clusterFlag {
-		sweeps, err := runClusterBench(clusterParams{
-			clients: 16,
-			files:   12,
-			blocks:  64,
-			nodes:   []int{1, 2, 4},
-			cacheMB: *cacheFlag,
-			alloc:   alloc,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acload: cluster: %v\n", err)
-			return 1
-		}
-		report.ClusterSweeps = sweeps
-	}
-
 	if *jsonFlag {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -369,439 +241,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// hotParams parameterizes the shared-hot-file contention scenario.
-type hotParams struct {
-	clients  int
-	blocks   int // shared file size; larger than the cache, so scans evict
-	rounds   int
-	writePct int // partial writes mixed into the scan (dirty victims)
-	latency  time.Duration
-	jitter   time.Duration
-	cacheMB  float64
-	alloc    cache.Alloc
-}
-
-// runHot measures the hot-block contention scenario: every client scans
-// the same file (all of which lives in one shard, by file-affinity
-// routing), so concurrent demand misses pile onto the same blocks and
-// the mixed-in writes evict dirty victims under load. The store sleeps
-// per operation, so the configurations differ where it matters: the
-// synchronous baseline pays every write-back inside the kernel loop and
-// every miss at full store latency; the pipelined kernel queues
-// write-backs to the flusher and hides read latency behind read-ahead.
-func runHot(p hotParams) (*hotReport, error) {
-	hr := &hotReport{
-		Clients:        p.clients,
-		FileBlocks:     p.blocks,
-		Rounds:         p.rounds,
-		WritePct:       p.writePct,
-		StoreLatencyUs: float64(p.latency) / float64(time.Microsecond),
-		StoreJitterUs:  float64(p.jitter) / float64(time.Microsecond),
-	}
-	configs := []struct {
-		name    string
-		wbDepth int
-		raDepth int
-	}{
-		{"synchronous", 0, 0}, // the PR 5 kernel: inline write-backs, no read-ahead
-		{"pipelined", 64, 4},
-	}
-	for _, cfg := range configs {
-		ms := disk.NewMemStore()
-		ms.SetLatency(p.latency, p.jitter)
-		srv := server.New(server.Config{
-			Kernel: core.LiveConfig{
-				CacheBytes:     core.MB(p.cacheMB),
-				Alloc:          p.alloc,
-				Store:          ms,
-				ReadAhead:      cfg.raDepth > 0,
-				ReadAheadDepth: cfg.raDepth,
-				WallClock:      true,
-			},
-			Shards:         1,
-			WritebackDepth: cfg.wbDepth,
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go srv.Serve(ln)
-		res, err := hotSweep(ln.Addr().String(), p)
-		run := hotRun{Config: cfg.name, WritebackDepth: cfg.wbDepth, ReadAheadDepth: cfg.raDepth, Result: res}
-		if m, ok := srv.Metrics(); ok {
-			run.Kernel = m.Kernel
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-		srv.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.name, err)
-		}
-		fmt.Fprintf(os.Stderr,
-			"acload: hot %-11s %2d clients: %7d reqs in %6.2fs = %8.0f req/s, %6.1f MB/s, %5.1f allocs/op, hit %5.1f%%, p50 %5.0fµs p90 %5.0fµs p99 %6.0fµs (coalesced %d, store reads %d, wb queued %d, prefetch hits %d)\n",
-			cfg.name, p.clients, res.Requests, res.Seconds, res.Throughput, res.BytesPerSec/1e6, res.AllocsPerOp, 100*res.HitRatio,
-			res.P50us, res.P90us, res.P99us,
-			run.Kernel.Fill.CoalescedMisses, run.Kernel.Fill.StoreReads,
-			run.Kernel.Fill.WritebacksQueued, run.Kernel.Fill.PrefetchHits)
-		hr.Runs = append(hr.Runs, run)
-	}
-	return hr, nil
-}
-
-// hotSweep drives p.clients concurrent sessions through the shared scan
-// and aggregates the wire measurements, sweepResult-shaped.
-func hotSweep(addr string, p hotParams) (sweepResult, error) {
-	setup, err := client.Dial("tcp", addr)
-	if err != nil {
-		return sweepResult{}, err
-	}
-	f, err := setup.Create("hot/shared", 0, p.blocks)
-	if err != nil {
-		setup.Close()
-		return sweepResult{}, err
-	}
-	setup.Close()
-	_ = f
-
-	type out struct {
-		st  replayStats
-		err error
-	}
-	outs := make([]out, p.clients)
-	var wg sync.WaitGroup
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < p.clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i].st, outs[i].err = hotClient(addr, i, p)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-
-	res := sweepResult{Clients: p.clients, Seconds: elapsed.Seconds()}
-	var hits, accesses, bytes int64
-	var all []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return res, fmt.Errorf("client %d: %w", i, outs[i].err)
-		}
-		st := &outs[i].st
-		res.Requests += st.requests
-		hits += st.hits
-		accesses += st.hits + st.misses
-		bytes += st.bytes
-		all = append(all, st.latencies...)
-	}
-	if res.Seconds > 0 {
-		res.Throughput = float64(res.Requests) / res.Seconds
-		res.BytesPerSec = float64(bytes) / res.Seconds
-	}
-	if res.Requests > 0 {
-		res.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.Requests)
-	}
-	if accesses > 0 {
-		res.HitRatio = float64(hits) / float64(accesses)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.P50us = percentileUs(all, 0.50)
-	res.P90us = percentileUs(all, 0.90)
-	res.P99us = percentileUs(all, 0.99)
-	return res, nil
-}
-
-// hotClient is one session's share of the hot scan: sequential rounds
-// over the shared file with partial writes mixed in by a deterministic
-// per-client stream, so every run issues the same request mix.
-func hotClient(addr string, idx int, p hotParams) (replayStats, error) {
-	var st replayStats
-	c, err := client.Dial("tcp", addr)
-	if err != nil {
-		return st, err
-	}
-	defer c.Close()
-	f, err := c.Open("hot/shared")
-	if err != nil {
-		return st, err
-	}
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(idx + i)
-	}
-	readBuf := make([]byte, core.BlockSize)
-	rng := uint64(idx)*0x9e3779b97f4a7c15 + 1
-	st.latencies = make([]time.Duration, 0, p.rounds*p.blocks)
-	for r := 0; r < p.rounds; r++ {
-		for blk := int32(0); int(blk) < p.blocks; blk++ {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			st.requests++
-			t0 := time.Now()
-			var hit bool
-			if int(rng%100) < p.writePct {
-				hit, err = c.Write(f.ID, blk, 0, payload)
-				st.bytes += int64(len(payload))
-			} else {
-				hit, err = c.ReadInto(f.ID, blk, 0, core.BlockSize, readBuf)
-				st.bytes += core.BlockSize
-			}
-			st.latencies = append(st.latencies, time.Since(t0))
-			if err != nil {
-				return st, err
-			}
-			if hit {
-				st.hits++
-			} else {
-				st.misses++
-			}
-		}
-	}
-	return st, nil
-}
-
-// coldParams parameterizes the cold-fill scenario.
-type coldParams struct {
-	clients int // one private file per client
-	files   int
-	blocks  int // blocks per file
-	raDepth int
-	latency time.Duration // mem-store per-batch latency
-	cacheMB float64
-	alloc   cache.Alloc
-}
-
-// runCold measures the fill path with nothing cached: every (backend,
-// config) pair gets a fresh server over a fresh store whose blocks were
-// written out of band, so the clients' sequential scans miss on every
-// block and the whole request stream funnels through the fill pipeline.
-// The unbatched config is the goroutine-per-fill baseline (one store
-// call per block); the batched config is the worker pool, which retires
-// each read-ahead run as one vectored store read. The mem backend makes
-// the win visible as latency (one sleep per batch instead of per block),
-// the file backend as syscalls (ScalarReads/VectorReads).
-func runCold(p coldParams) (*coldReport, error) {
-	cr := &coldReport{
-		Clients:        p.clients,
-		Files:          p.files,
-		FileBlocks:     p.blocks,
-		StoreLatencyUs: float64(p.latency) / float64(time.Microsecond),
-		ReadAheadDepth: p.raDepth,
-	}
-	tmp, err := os.MkdirTemp("", "acload-cold")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-
-	backends := []string{"mem+lat", "file"}
-	configs := []struct {
-		name        string
-		fillWorkers int
-	}{
-		{"unbatched", -1}, // goroutine per fill: one store call per block
-		{"batched", 0},    // default worker pool: one call per run
-	}
-	for _, backend := range backends {
-		for _, cfg := range configs {
-			run, err := coldRunOne(tmp, backend, cfg.name, cfg.fillWorkers, p)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", backend, cfg.name, err)
-			}
-			fmt.Fprintf(os.Stderr,
-				"acload: cold %-7s %-9s %2d clients: %7d reqs in %6.2fs = %8.0f req/s, hit %5.1f%%, p50 %5.0fµs p99 %6.0fµs (store reads %d, batched fills %d, batch blocks %d, scalar/vector reads %d/%d)\n",
-				backend, cfg.name, p.clients, run.Result.Requests, run.Result.Seconds, run.Result.Throughput, 100*run.Result.HitRatio,
-				run.Result.P50us, run.Result.P99us,
-				run.Kernel.Fill.StoreReads, run.Kernel.Fill.BatchedFills, run.Kernel.Fill.FillBatchBlocks,
-				run.ScalarReads, run.VectorReads)
-			cr.Runs = append(cr.Runs, run)
-		}
-	}
-	return cr, nil
-}
-
-// coldRunOne builds one fresh store + server, creates the per-client
-// files, writes their blocks straight to the store (bypassing the cache,
-// which therefore stays empty), scans, and tears everything down.
-func coldRunOne(tmpdir, backend, config string, fillWorkers int, p coldParams) (coldRun, error) {
-	run := coldRun{Store: backend, Config: config, FillWorkers: fillWorkers}
-
-	var store disk.Store
-	var ms *disk.MemStore
-	var fst *disk.FileStore
-	switch backend {
-	case "mem+lat":
-		ms = disk.NewMemStore()
-		store = ms
-	case "file":
-		var err error
-		fst, err = disk.NewFileStore(fmt.Sprintf("%s/%s-%s.dat", tmpdir, backend, config))
-		if err != nil {
-			return run, err
-		}
-		store = fst
-	}
-	srv := server.New(server.Config{
-		Kernel: core.LiveConfig{
-			CacheBytes:     core.MB(p.cacheMB),
-			Alloc:          p.alloc,
-			Store:          store,
-			ReadAhead:      p.raDepth > 0,
-			ReadAheadDepth: p.raDepth,
-			WallClock:      true,
-		},
-		Shards:         1, // wire file ids == store file ids, for the out-of-band populate
-		WritebackDepth: 64,
-		FillWorkers:    fillWorkers,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return run, err
-	}
-	go srv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-		srv.Close()
-	}()
-	addr := ln.Addr().String()
-
-	// Create the files over the wire, then write every block directly to
-	// the store: the cache never sees the bytes, so the scan is cold.
-	setup, err := client.Dial("tcp", addr)
-	if err != nil {
-		return run, err
-	}
-	fids := make([]fs.FileID, p.files)
-	for i := range fids {
-		f, err := setup.Create(fmt.Sprintf("cold/f%d", i), 0, p.blocks)
-		if err != nil {
-			setup.Close()
-			return run, err
-		}
-		fids[i] = f.ID
-	}
-	setup.Close()
-	specs := make([]disk.BlockSpan, p.blocks)
-	srcs := make([][]byte, p.blocks)
-	blockBytes := make([]byte, p.blocks*core.BlockSize)
-	for i, fid := range fids {
-		for b := 0; b < p.blocks; b++ {
-			buf := blockBytes[b*core.BlockSize : (b+1)*core.BlockSize]
-			for j := range buf {
-				buf[j] = byte(i + b + j)
-			}
-			specs[b] = disk.BlockSpan{File: int32(fid), Blk: int32(b)}
-			srcs[b] = buf
-		}
-		for b, err := range disk.WriteBatch(store, specs, srcs) {
-			if err != nil {
-				return run, fmt.Errorf("populate file %d block %d: %w", i, b, err)
-			}
-		}
-	}
-	if ms != nil {
-		ms.SetLatency(p.latency, 0) // after populate: setup writes are free
-	}
-	var r0, v0 int64
-	if fst != nil {
-		r0, v0, _, _ = fst.IOCounts()
-	}
-
-	type out struct {
-		st  replayStats
-		err error
-	}
-	outs := make([]out, p.clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < p.clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i].st, outs[i].err = coldClient(addr, i%p.files, p)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := sweepResult{Clients: p.clients, Seconds: elapsed.Seconds()}
-	var hits, accesses, bytes int64
-	var all []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return run, fmt.Errorf("client %d: %w", i, outs[i].err)
-		}
-		st := &outs[i].st
-		res.Requests += st.requests
-		hits += st.hits
-		accesses += st.hits + st.misses
-		bytes += st.bytes
-		all = append(all, st.latencies...)
-	}
-	if res.Seconds > 0 {
-		res.Throughput = float64(res.Requests) / res.Seconds
-		res.BytesPerSec = float64(bytes) / res.Seconds
-	}
-	if accesses > 0 {
-		res.HitRatio = float64(hits) / float64(accesses)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.P50us = percentileUs(all, 0.50)
-	res.P90us = percentileUs(all, 0.90)
-	res.P99us = percentileUs(all, 0.99)
-	run.Result = res
-
-	if m, ok := srv.Metrics(); ok {
-		run.Kernel = m.Kernel
-	}
-	if fst != nil {
-		sr, vr, _, _ := fst.IOCounts()
-		run.ScalarReads, run.VectorReads = sr-r0, vr-v0
-	}
-	return run, nil
-}
-
-// coldClient is one session's cold scan: a single sequential pass over
-// its file, full-block reads, every one a miss.
-func coldClient(addr string, fileIdx int, p coldParams) (replayStats, error) {
-	var st replayStats
-	c, err := client.Dial("tcp", addr)
-	if err != nil {
-		return st, err
-	}
-	defer c.Close()
-	f, err := c.Open(fmt.Sprintf("cold/f%d", fileIdx))
-	if err != nil {
-		return st, err
-	}
-	buf := make([]byte, core.BlockSize)
-	st.latencies = make([]time.Duration, 0, p.blocks)
-	for blk := int32(0); int(blk) < p.blocks; blk++ {
-		st.requests++
-		t0 := time.Now()
-		hit, err := c.ReadInto(f.ID, blk, 0, core.BlockSize, buf)
-		st.latencies = append(st.latencies, time.Since(t0))
-		st.bytes += core.BlockSize
-		if err != nil {
-			return st, err
-		}
-		if hit {
-			st.hits++
-		} else {
-			st.misses++
-		}
-	}
-	return st, nil
 }
 
 func parseShards(s string) ([]int, error) {

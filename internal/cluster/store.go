@@ -307,7 +307,7 @@ func (ns *NodeStore) WriteBlock(file, blk int32, src []byte) error {
 // because the wire protocol reads one block per frame.
 func (ns *NodeStore) ReadBlocks(specs []disk.BlockSpan, dsts [][]byte) []error {
 	errs := make([]error, len(specs))
-	eachRun(specs, func(lo, hi int) {
+	disk.EachRun(specs, func(lo, hi int) {
 		name, err := ns.name(specs[lo].File)
 		if err != nil {
 			ns.peerFillErrors.Add(1)
@@ -347,7 +347,7 @@ func (ns *NodeStore) ReadBlocks(specs []disk.BlockSpan, dsts [][]byte) []error {
 // vectored write each.
 func (ns *NodeStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error {
 	errs := make([]error, len(specs))
-	eachRun(specs, func(lo, hi int) {
+	disk.EachRun(specs, func(lo, hi int) {
 		name, err := ns.name(specs[lo].File)
 		if err != nil {
 			ns.peerFillErrors.Add(1)
@@ -365,21 +365,6 @@ func (ns *NodeStore) WriteBlocks(specs []disk.BlockSpan, srcs [][]byte) []error 
 		}
 	})
 	return errs
-}
-
-// eachRun splits specs into same-file consecutive-block runs and calls
-// f with each [lo, hi) range. The callers above hand down batches the
-// fill workers and flusher already sorted and grouped, but arbitrary
-// spans still split correctly — just into more runs.
-func eachRun(specs []disk.BlockSpan, f func(lo, hi int)) {
-	for i := 0; i < len(specs); {
-		j := i + 1
-		for j < len(specs) && specs[j].File == specs[i].File && specs[j].Blk == specs[j-1].Blk+1 {
-			j++
-		}
-		f(i, j)
-		i = j
-	}
 }
 
 // Close closes every peer connection. The origin is shared by the whole

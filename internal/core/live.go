@@ -503,17 +503,6 @@ type ReadReply interface {
 	ReadDone(data []byte, hit bool, err error)
 }
 
-// funcReply adapts a plain callback to ReadReply. Func values are
-// pointer-shaped, so the interface conversion does not allocate.
-type funcReply func(data []byte, hit bool, err error)
-
-func (f funcReply) ReadDone(data []byte, hit bool, err error) { f(data, hit, err) }
-
-// Read is ReadTo with a func callback; see ReadTo.
-func (l *Live) Read(owner int, fid fs.FileID, blk int32, off, size int, done func(data []byte, hit bool, err error)) bool {
-	return l.ReadTo(owner, fid, blk, off, size, funcReply(done))
-}
-
 // ReadTo reads size bytes at offset off within block blk, delivering the
 // result through reply. The returned bool reports whether ReadDone
 // already ran (false: an asynchronous fill will run it later, on the

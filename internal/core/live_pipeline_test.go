@@ -11,6 +11,11 @@ import (
 	"repro/internal/disk"
 )
 
+// readFunc adapts a plain callback to core.ReadReply.
+type readFunc func(data []byte, hit bool, err error)
+
+func (f readFunc) ReadDone(data []byte, hit bool, err error) { f(data, hit, err) }
+
 // failStore fails writes on demand, for the error-surfacing tests.
 type failStore struct {
 	disk.Store
@@ -50,17 +55,17 @@ func TestLiveMissCoalescing(t *testing.T) {
 		done bool
 	}
 	var r1, r2 result
-	if done := l.Read(ow, f.ID(), 0, 0, 8, func(data []byte, hit bool, err error) {
+	if done := l.ReadTo(ow, f.ID(), 0, 0, 8, readFunc(func(data []byte, hit bool, err error) {
 		r1 = result{data, hit, err, true}
-	}); done {
+	})); done {
 		t.Fatal("first read completed synchronously with a manual executor")
 	}
 	if len(fills) != 1 {
 		t.Fatalf("first miss dispatched %d fills, want 1", len(fills))
 	}
-	if done := l.Read(ow, f.ID(), 0, 0, 8, func(data []byte, hit bool, err error) {
+	if done := l.ReadTo(ow, f.ID(), 0, 0, 8, readFunc(func(data []byte, hit bool, err error) {
 		r2 = result{data, hit, err, true}
-	}); done {
+	})); done {
 		t.Fatal("coalesced read completed before the fill")
 	}
 	if len(fills) != 1 {
@@ -125,9 +130,9 @@ func TestLiveWritebackForwarding(t *testing.T) {
 		t.Helper()
 		var got []byte
 		var rerr error
-		l.Read(ow, f.ID(), blk, 0, core.BlockSize, func(data []byte, hit bool, err error) {
+		l.ReadTo(ow, f.ID(), blk, 0, core.BlockSize, readFunc(func(data []byte, hit bool, err error) {
 			got, rerr = data, err
-		})
+		}))
 		if rerr != nil {
 			t.Fatalf("read blk %d: %v", blk, rerr)
 		}
@@ -224,7 +229,7 @@ func TestLiveWritebackErrorSurfaced(t *testing.T) {
 
 	fs.failWrites = true
 	var got error
-	l.Read(ow, f.ID(), 2, 0, 8, func(data []byte, hit bool, err error) { got = err })
+	l.ReadTo(ow, f.ID(), 2, 0, 8, readFunc(func(data []byte, hit bool, err error) { got = err }))
 	if !errors.Is(got, core.ErrWriteBack) {
 		t.Fatalf("read that forced a failing write-back: err = %v, want ErrWriteBack", got)
 	}
@@ -234,7 +239,7 @@ func TestLiveWritebackErrorSurfaced(t *testing.T) {
 
 	// The kernel survives: the same read now succeeds (block already
 	// cached from the fill) and a flush reports rather than panics.
-	l.Read(ow, f.ID(), 2, 0, 8, func(data []byte, hit bool, err error) { got = err })
+	l.ReadTo(ow, f.ID(), 2, 0, 8, readFunc(func(data []byte, hit bool, err error) { got = err }))
 	if got != nil {
 		t.Fatalf("kernel not serviceable after write-back error: %v", got)
 	}
@@ -267,12 +272,12 @@ func TestLiveReadAhead(t *testing.T) {
 	read := func(blk int32) bool {
 		t.Helper()
 		var hit bool
-		l.Read(ow, f.ID(), blk, 0, 8, func(data []byte, h bool, err error) {
+		l.ReadTo(ow, f.ID(), blk, 0, 8, readFunc(func(data []byte, h bool, err error) {
 			if err != nil {
 				t.Fatalf("read %d: %v", blk, err)
 			}
 			hit = h
-		})
+		}))
 		return hit
 	}
 
@@ -349,7 +354,7 @@ func TestLiveSnapshotIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := l.Snapshot()
-	l.Read(ow, f.ID(), 0, 0, 8, func(data []byte, hit bool, err error) {})
+	l.ReadTo(ow, f.ID(), 0, 0, 8, readFunc(func(data []byte, hit bool, err error) {}))
 	if after := l.Snapshot(); before.Fill.StoreReads == after.Fill.StoreReads {
 		t.Fatal(fmt.Sprintf("read did not move StoreReads (still %d)", after.Fill.StoreReads))
 	}

@@ -59,3 +59,20 @@ func WriteBatch(s Store, specs []BlockSpan, srcs [][]byte) []error {
 	}
 	return errs
 }
+
+// EachRun splits specs into runs of same-file consecutive blocks and
+// calls f with each run's [lo, hi) range, in order. A run extends only
+// while the next span is in the same file and exactly one block past
+// the previous, so a repeated block number starts a new run. Sorted
+// input yields maximal runs; unsorted input still splits correctly,
+// just into more runs.
+func EachRun(specs []BlockSpan, f func(lo, hi int)) {
+	for i := 0; i < len(specs); {
+		j := i + 1
+		for j < len(specs) && specs[j].File == specs[i].File && specs[j].Blk == specs[j-1].Blk+1 {
+			j++
+		}
+		f(i, j)
+		i = j
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -334,5 +335,33 @@ func TestFileStoreScalarCounters(t *testing.T) {
 	sr, vr, sw, vw := fs.IOCounts()
 	if sr != 1 || vr != 0 || sw != 1 || vw != 0 {
 		t.Errorf("IOCounts = %d %d %d %d, want 1 0 1 0", sr, vr, sw, vw)
+	}
+}
+
+// TestEachRun pins the run-splitting rule the fill workers and the
+// cluster store share: a run is same-file, consecutive blocks, and an
+// equal block number never extends one (an orphaned fill and its
+// successor for the same block must issue separately).
+func TestEachRun(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		specs []BlockSpan
+		want  [][2]int
+	}{
+		{"empty", nil, nil},
+		{"single", []BlockSpan{{1, 4}}, [][2]int{{0, 1}}},
+		{"one run", []BlockSpan{{1, 4}, {1, 5}, {1, 6}}, [][2]int{{0, 3}}},
+		{"block gap", []BlockSpan{{1, 0}, {1, 1}, {1, 3}, {1, 4}}, [][2]int{{0, 2}, {2, 4}}},
+		{"file change", []BlockSpan{{1, 0}, {1, 1}, {2, 2}, {2, 3}}, [][2]int{{0, 2}, {2, 4}}},
+		{"equal blocks", []BlockSpan{{1, 2}, {1, 2}, {1, 3}}, [][2]int{{0, 1}, {1, 3}}},
+		{"unsorted", []BlockSpan{{1, 3}, {1, 1}, {1, 2}, {2, 0}, {1, 4}}, [][2]int{{0, 1}, {1, 3}, {3, 4}, {4, 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [][2]int
+			EachRun(tc.specs, func(lo, hi int) { got = append(got, [2]int{lo, hi}) })
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("EachRun(%v) = %v, want %v", tc.specs, got, tc.want)
+			}
+		})
 	}
 }

@@ -14,7 +14,8 @@
 package server
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/cache"
@@ -23,10 +24,10 @@ import (
 )
 
 const (
-	// defaultFillWorkers is the per-shard pool size when Config leaves
-	// FillWorkers zero: enough concurrency to overlap a few independent
-	// misses without unbounded goroutine spawn.
-	defaultFillWorkers = 4
+	// fillWorkers is the per-shard pool size: enough concurrency to
+	// overlap a few independent misses without unbounded goroutine
+	// spawn.
+	fillWorkers = 4
 	// maxFillBatch bounds how many queued fills one worker drains at a
 	// time; maxWritebackBatch bounds one flusher drain of wbch.
 	maxFillBatch      = 128
@@ -95,57 +96,52 @@ func (q *fillQueue) close() {
 	q.cond.Broadcast()
 }
 
-// fillWorker is one pool goroutine: drain a batch, retire it run by
-// run, repeat until the queue closes.
+// fillWorker is one pool goroutine: drain a batch, sort it by (file,
+// block), split it into same-file adjacent runs (disk.EachRun), and
+// issue one store read per run — the run coalescing rule: only blocks
+// that can plausibly share a vectored call are grouped; everything else
+// stays a single-block read. Each run re-enters the kernel loop as one
+// completion message, preserving per-fill CompleteFill semantics
+// exactly.
+//
+// A block can appear twice (an orphaned mid-fill-eviction read and its
+// successor fill); equal block numbers never extend a run, so both
+// issue separately and each reads the same authoritative store bytes.
+//
+// specs and dsts are the worker's scratch, reused across batches. The
+// run sent on kch is a sub-slice of the batch, which pop allocates
+// fresh: the kernel loop still reads it after the worker moves on.
 func (sh *shard) fillWorker(store disk.Store, batchCapable bool) {
+	var specs []disk.BlockSpan
+	var dsts [][]byte
 	for {
 		batch := sh.fq.pop(maxFillBatch)
 		if batch == nil {
 			return
 		}
-		sh.runFills(store, batchCapable, batch)
-	}
-}
-
-// runFills sorts a drained batch by (file, block), splits it into
-// same-file adjacent runs, and issues one store read per run — the run
-// coalescing rule: only blocks that can plausibly share a vectored call
-// are grouped; everything else stays a single-block read. Each run
-// re-enters the kernel loop as one completion message, preserving
-// per-fill CompleteFill semantics exactly.
-//
-// A block can appear twice (an orphaned mid-fill-eviction read and its
-// successor fill); equal block numbers never extend a run, so both
-// issue separately and each reads the same authoritative store bytes.
-func (sh *shard) runFills(store disk.Store, batchCapable bool, batch []*core.Fill) {
-	sort.Slice(batch, func(a, b int) bool {
-		if batch[a].ID.File != batch[b].ID.File {
-			return batch[a].ID.File < batch[b].ID.File
+		slices.SortFunc(batch, func(a, b *core.Fill) int {
+			return cmp.Or(cmp.Compare(a.ID.File, b.ID.File), cmp.Compare(a.ID.Num, b.ID.Num))
+		})
+		specs = specs[:0]
+		for _, fl := range batch {
+			specs = append(specs, disk.BlockSpan{File: int32(fl.ID.File), Blk: fl.ID.Num})
 		}
-		return batch[a].ID.Num < batch[b].ID.Num
-	})
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].ID.File == batch[i].ID.File && batch[j].ID.Num == batch[j-1].ID.Num+1 {
-			j++
-		}
-		run := batch[i:j]
-		i = j
-		if len(run) == 1 {
-			fl := run[0]
-			fl.Err = store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
-		} else {
-			specs := make([]disk.BlockSpan, len(run))
-			dsts := make([][]byte, len(run))
-			for k, fl := range run {
-				specs[k] = disk.BlockSpan{File: int32(fl.ID.File), Blk: fl.ID.Num}
-				dsts[k] = fl.Data
+		disk.EachRun(specs, func(lo, hi int) {
+			run := batch[lo:hi]
+			if len(run) == 1 {
+				fl := run[0]
+				fl.Err = store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
+			} else {
+				dsts = dsts[:0]
+				for _, fl := range run {
+					dsts = append(dsts, fl.Data)
+				}
+				for k, err := range disk.ReadBatch(store, specs[lo:hi], dsts) {
+					run[k].Err = err
+				}
 			}
-			for k, err := range disk.ReadBatch(store, specs, dsts) {
-				run[k].Err = err
-			}
-		}
-		sh.kch <- kmsg{fills: run, batched: len(run) > 1 && batchCapable}
+			sh.kch <- kmsg{batched: len(run) > 1 && batchCapable, fills: run}
+		})
 	}
 }
 

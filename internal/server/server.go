@@ -24,9 +24,11 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Kernel configures the Live kernels. Config overwrites
-	// Kernel.StartFill, Kernel.StartWriteBack and Kernel.Store (each
-	// shard gets a keyspace slice of the shared store): the server owns
-	// fill and write-back execution.
+	// Kernel.StartFill, Kernel.StartFillBatch, Kernel.StartWriteBack and
+	// Kernel.Store (each shard gets a keyspace slice of the shared
+	// store): the server owns fill and write-back execution. Fills run
+	// on a fixed pool of four workers per shard, which retire each run
+	// of same-file adjacent misses with one store call.
 	Kernel core.LiveConfig
 	// WritebackDepth bounds the asynchronous write-behind queue per
 	// shard. 0 (the default) disables write-behind: dirty victims write
@@ -37,14 +39,6 @@ type Config struct {
 	// same-block ordering constraint degrades to a synchronous inline
 	// write (backpressure) rather than blocking the loop.
 	WritebackDepth int
-	// FillWorkers sizes the bounded per-shard fill worker pool (default
-	// 4). Misses and read-ahead runs queue on the shard's fill queue;
-	// the workers drain it, group same-file adjacent blocks, and retire
-	// each run with one vectored store read. A negative value restores
-	// the legacy one-goroutine-per-fill executor (one single-block store
-	// read per miss) — the unbatched baseline the cold-fill benchmark
-	// compares against.
-	FillWorkers int
 	// Shards is the number of independent kernel shards (default 1).
 	// Each shard owns its own Live — its own cache arena, ACM, and fill
 	// accounting — and its own message loop; files hash to a shard at
@@ -100,9 +94,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.FillWorkers == 0 {
-		c.FillWorkers = defaultFillWorkers
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 32
@@ -319,15 +310,15 @@ func (s *session) shardClosed() {
 }
 
 // kmsg is one message into a shard loop. Exactly one field group is set:
-// a session event (sess + req/open/close), a completed fill, a closure to
-// run on the shard goroutine, or a shutdown phase.
+// a session event (sess + req/open/close), a completed fill run or
+// write-back, a closure to run on the shard goroutine, or a shutdown
+// phase.
 type kmsg struct {
 	sess    *session
-	req     *request // with sess: one request frame
-	open    bool     // with sess: session arrived
-	close   bool     // with sess: session is gone
-	fill    *core.Fill
-	fills   []*core.Fill      // a completed fill run (one store call, batched path)
+	req     *request          // with sess: one request frame
+	open    bool              // with sess: session arrived
+	close   bool              // with sess: session is gone
+	fills   []*core.Fill      // a completed fill run (one store call)
 	wb      *core.WriteBack   // a completed asynchronous write-back
 	wbs     []*core.WriteBack // a completed write-back batch (batched flusher)
 	batched bool              // with fills/wbs: the store retired it as one vectored call
@@ -367,8 +358,8 @@ type shard struct {
 	wbOverflow []*core.WriteBack
 	wbInflight int
 
-	// fq is the shard's fill queue (nil in legacy goroutine-per-fill
-	// mode); the worker pool drains it. Closed at retire.
+	// fq is the shard's fill queue; the worker pool drains it. Closed
+	// at retire.
 	fq *fillQueue
 
 	// adapter is the shard's online allocation-policy adapter (nil
@@ -463,35 +454,22 @@ func New(cfg Config) *Server {
 		// run. The batch counters only tick when it can, so BatchedFills
 		// on a plain (or counting test) store honestly reads zero.
 		_, batchCapable := base.(disk.BatchStore)
-		if cfg.FillWorkers > 0 {
-			// Batched mode: fills queue on the shard's fill queue (the
-			// hooks run on the kernel goroutine, which also tracks the
-			// queue's high-water mark); a bounded worker pool drains it,
-			// groups same-file adjacent blocks, and re-enters the loop
-			// one run at a time. The loop counts fills in flight so
-			// shutdown can wait for the last.
-			sh.fq = newFillQueue()
-			kcfg.StartFill = func(fl *core.Fill) {
-				sh.fillsInflight++
-				sh.kern.NoteFillQueueDepth(sh.fq.push(fl))
-			}
-			kcfg.StartFillBatch = func(fls []*core.Fill) {
-				sh.fillsInflight += len(fls)
-				sh.kern.NoteFillQueueDepth(sh.fq.push(fls...))
-			}
-			for w := 0; w < cfg.FillWorkers; w++ {
-				go sh.fillWorker(store, batchCapable)
-			}
-		} else {
-			// Legacy mode (FillWorkers < 0): one goroutine and one
-			// single-block store read per fill — the unbatched baseline.
-			kcfg.StartFill = func(fl *core.Fill) {
-				sh.fillsInflight++
-				go func() {
-					fl.Err = store.ReadBlock(int32(fl.ID.File), fl.ID.Num, fl.Data)
-					sh.kch <- kmsg{fill: fl}
-				}()
-			}
+		// Fills queue on the shard's fill queue (the hooks run on the
+		// kernel goroutine, which also tracks the queue's high-water
+		// mark); a bounded worker pool drains it, groups same-file
+		// adjacent blocks, and re-enters the loop one run at a time. The
+		// loop counts fills in flight so shutdown can wait for the last.
+		sh.fq = newFillQueue()
+		kcfg.StartFill = func(fl *core.Fill) {
+			sh.fillsInflight++
+			sh.kern.NoteFillQueueDepth(sh.fq.push(fl))
+		}
+		kcfg.StartFillBatch = func(fls []*core.Fill) {
+			sh.fillsInflight += len(fls)
+			sh.kern.NoteFillQueueDepth(sh.fq.push(fls...))
+		}
+		for w := 0; w < fillWorkers; w++ {
+			go sh.fillWorker(store, batchCapable)
 		}
 		if cfg.WritebackDepth > 0 {
 			sh.wbch = make(chan *core.WriteBack, cfg.WritebackDepth)
@@ -1085,10 +1063,6 @@ func (s *Server) Metrics() (Metrics, bool) {
 func (sh *shard) loop() {
 	for m := range sh.kch {
 		switch {
-		case m.fill != nil:
-			sh.fillsInflight--
-			sh.kern.CompleteFill(m.fill)
-			sh.maybeRetire()
 		case m.fills != nil:
 			sh.fillsInflight -= len(m.fills)
 			if m.batched {
@@ -1145,9 +1119,7 @@ func (sh *shard) maybeRetire() {
 		if sh.wbch != nil {
 			close(sh.wbch)
 		}
-		if sh.fq != nil {
-			sh.fq.close()
-		}
+		sh.fq.close()
 		close(sh.done)
 	}
 }
